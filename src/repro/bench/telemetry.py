@@ -2,7 +2,7 @@
 
 ``event_fanout`` replays a deterministic synthetic event mix — the
 publish pattern of one request walking a three-stage chain (spans,
-flows, reallocations, transfers, pool churn) — through four
+flows, reallocations, transfers, pool churn) — through five
 configurations:
 
 ``disabled``
@@ -19,17 +19,26 @@ configurations:
     The above plus a live
     :class:`~repro.telemetry.profiler.SpanTreeBuilder` — the
     ``repro profile`` configuration.
+``spool``
+    Bus + bounded :class:`~repro.telemetry.StandardMetrics` + a gzip
+    :class:`~repro.telemetry.JsonlEventSink` in a temporary directory —
+    the streaming ``capture(sinks=..., metrics_mode="bounded")``
+    configuration.  Also reports the spool's encoded and on-disk
+    bytes per event.
 
 Each mode reports events/sec, so a regression in the bus fan-out, the
-metrics handlers, or the profiler's event intake shows up directly in
-``BENCH_telemetry.json`` (wired into the CI perf-smoke job,
-non-gating).
+metrics handlers, the profiler's event intake or the spool encoder
+shows up directly in ``BENCH_telemetry.json`` (wired into the CI
+perf-smoke job, non-gating).
 """
 
 from __future__ import annotations
 
+import os
 import platform as _platform
+import tempfile
 import time
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from repro.bench.netflow import SCHEMA_VERSION
@@ -49,8 +58,10 @@ from repro.telemetry.events import (
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import SpanTreeBuilder
 from repro.telemetry.recorder import StandardMetrics, TraceRecorder
+from repro.telemetry.session import TelemetrySession
+from repro.telemetry.sinks import JsonlEventSink
 
-MODES = ("disabled", "bus", "recorder", "recorder+profiler")
+MODES = ("disabled", "bus", "recorder", "recorder+profiler", "spool")
 
 
 def _request_events(index: int, t: float) -> list:
@@ -180,6 +191,21 @@ def bench_event_fanout(requests: int = 2000) -> dict:
     profiler.attach(bus)
     results["recorder+profiler"] = _timed(bus)
     completed = len(profiler.completed)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl.gz")
+        sink = JsonlEventSink(path)
+        session = TelemetrySession(sinks=[sink], metrics_mode="bounded")
+        results["spool"] = stats = _timed(
+            session.attach(SimpleNamespace(telemetry=None))
+        )
+        session.close()
+        stats["encoded_bytes_per_event"] = (
+            sink.bytes_written / stats["events"]
+        )
+        stats["disk_bytes_per_event"] = (
+            os.path.getsize(path) / stats["events"]
+        )
 
     baseline = results["disabled"]["events_per_sec"]
     full = results["recorder+profiler"]["events_per_sec"]

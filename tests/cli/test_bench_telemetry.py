@@ -49,6 +49,12 @@ class TestTelemetryBenchLibrary:
             / modes["recorder+profiler"]["events_per_sec"]
         )
 
+    def test_spool_mode_reports_bytes_per_event(self, quick_document):
+        spool = quick_document["benchmarks"][0]["modes"]["spool"]
+        assert spool["encoded_bytes_per_event"] > (
+            spool["disk_bytes_per_event"]
+        ) > 0
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             run_telemetry_benchmarks(names=["nope"])

@@ -1,6 +1,8 @@
 """Streaming sinks: spool fidelity, replay oracle, crash-safety."""
 
+import gzip
 import json
+import zlib
 
 import pytest
 
@@ -18,7 +20,14 @@ from repro.telemetry import (
     iter_jsonl_events,
     replay_metrics,
 )
-from repro.telemetry.events import PlacementDecision, PoolAlloc, StorePut
+from repro.telemetry.chrome import convert_event, process_metadata
+from repro.telemetry.events import (
+    FlowStarted,
+    PlacementDecision,
+    PoolAlloc,
+    StorePut,
+)
+from repro.telemetry.sinks import SCHEMA, SPOOL_FORMAT, spool_header
 from repro.topology import make_cluster
 from repro.workflow import get_workload
 
@@ -75,7 +84,20 @@ class TestEncodeDecode:
 
     def test_unknown_type_raises(self):
         with pytest.raises(ConfigError, match="unknown telemetry event"):
-            decode_event({"run": 0, "type": "NotAnEvent"})
+            decode_event([0, len(SCHEMA), 1.0])
+
+    def test_row_is_positional_and_interns_links(self):
+        event = FlowStarted(t=0.5, flow_id=7, tag="x", size=8.0,
+                            links=("a", "b"), src="g0", dst="g1")
+        links = {"b": 0}
+        row = encode_event(2, event, links)
+        type_id = [name for name, _fields in SCHEMA].index("FlowStarted")
+        assert row == [2, type_id, 0.5, 7, "x", 8.0, [1, 0], "g0", "g1",
+                       0.0, "", ()]
+        assert links == {"b": 0, "a": 1}
+        assert decode_event(
+            json.loads(json.dumps(row)), links=["b", "a"]
+        ) == (2, event)
 
 
 class TestJsonlSpoolFidelity:
@@ -139,6 +161,78 @@ class TestJsonlSpoolFidelity:
                     assert other["count"] == stats["count"]
 
 
+class TestSpoolFormat:
+    def write_spool(self, path, header, rows):
+        lines = [header, *rows]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    def test_header_declares_schema(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        with JsonlEventSink(path) as sink:
+            sink.handle(0, make_alloc(0.0))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header == spool_header()
+        assert header["format"] == SPOOL_FORMAT
+        assert [name for name, _fields in header["types"]] == [
+            name for name, _fields in SCHEMA
+        ]
+
+    def test_reader_decodes_through_the_header(self, tmp_path):
+        # A spool written under another type order (and declaring a
+        # type this build lacks) still decodes, by the header's ids.
+        header = spool_header()
+        header["types"] = [["FutureEvent", ["t", "x"]]] + list(
+            reversed(header["types"])
+        )
+        ids = {name: index for index, (name, _f) in enumerate(header["types"])}
+        event = make_alloc(1.5)
+        row = encode_event(4, event)
+        row[1] = ids["PoolAlloc"]
+        path = tmp_path / "e.jsonl"
+        self.write_spool(path, header, [row])
+        assert list(iter_jsonl_events(path)) == [(4, event)]
+
+    def test_unknown_declared_type_raises_on_use(self, tmp_path):
+        header = spool_header()
+        header["types"].append(["NotAnEvent", ["t"]])
+        path = tmp_path / "e.jsonl"
+        self.write_spool(path, header, [[0, len(header["types"]) - 1, 1.0],
+                                        [0, 0, 2.0]])
+        with pytest.raises(ConfigError, match="'NotAnEvent'"):
+            list(iter_jsonl_events(path))
+
+    def test_spool_without_header_is_rejected(self, tmp_path):
+        # The older one-object-per-line format.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"run":0,"type":"PoolAlloc","t":0.0,"device_id":"n0:g0",'
+            '"size":1.0,"reserved":2.0,"in_use":1.0,"grew":false,'
+            '"requested_at":0.0}\n'
+        )
+        with pytest.raises(ConfigError, match=SPOOL_FORMAT):
+            list(iter_jsonl_events(path))
+
+    def test_links_are_defined_once_before_first_use(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        with JsonlEventSink(path) as sink:
+            for i in range(4):
+                sink.handle(0, FlowStarted(
+                    t=float(i), flow_id=i, tag="t", size=1.0,
+                    links=("x", "y") if i % 2 else ("y",), src="a",
+                    dst="b"))
+            assert sink.interned_links == 2
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        body = lines[1:]  # after the header
+        assert [type(line) for line in body] == [
+            dict, list, dict, list, list, list
+        ]
+        assert body[0] == {"links": ["y"]}
+        assert body[2] == {"links": ["x"]}
+        assert [row[6] for row in body if type(row) is list] == [
+            [0], [1, 0], [0], [1, 0]
+        ]
+
+
 class TestBuffering:
     def test_flush_on_event_count(self, tmp_path):
         sink = JsonlEventSink(tmp_path / "e.jsonl", flush_events=3)
@@ -154,10 +248,10 @@ class TestBuffering:
 
     def test_flush_on_byte_threshold(self, tmp_path):
         sink = JsonlEventSink(
-            tmp_path / "e.jsonl", flush_events=10_000, flush_bytes=64
+            tmp_path / "e.jsonl", flush_events=10_000, flush_bytes=16
         )
         sink.handle(0, make_alloc(0.0))
-        assert sink.flushes == 1  # one record is already > 64 bytes
+        assert sink.flushes == 1  # one record is already > 16 bytes
         sink.close()
 
     def test_close_is_idempotent_and_write_after_close_raises(
@@ -198,6 +292,61 @@ class TestCrashSafety:
         with pytest.raises(json.JSONDecodeError):
             list(iter_jsonl_events(path))
 
+    @pytest.mark.parametrize("name", ["e.jsonl", "e.jsonl.gz"])
+    def test_flushed_but_unclosed_spool_replays_flushed_events(
+        self, tmp_path, name
+    ):
+        # The bytes on disk when a writer dies without close(): whole
+        # flushes only, and for gzip no end-of-stream marker or trailer.
+        path = tmp_path / name
+        sink = JsonlEventSink(path, flush_events=2)
+        for i in range(5):
+            sink.handle(0, make_alloc(float(i)))
+        crashed = tmp_path / ("crashed-" + name)
+        crashed.write_bytes(path.read_bytes())
+        sink.close()
+        replayed = list(iter_jsonl_events(crashed))
+        assert [event.t for _run, event in replayed] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_unclosed_spool_without_events_is_empty(self, tmp_path):
+        path = tmp_path / "e.jsonl.gz"
+        sink = JsonlEventSink(path)  # the header is flushed on open
+        crashed = tmp_path / "crashed.jsonl.gz"
+        crashed.write_bytes(path.read_bytes())
+        sink.close()
+        assert list(iter_jsonl_events(crashed)) == []
+
+    def test_gzip_corruption_mid_file_raises(self, tmp_path):
+        path = tmp_path / "e.jsonl.gz"
+        with JsonlEventSink(path, flush_events=8) as sink:
+            for i in range(200):
+                sink.handle(0, make_alloc(float(i)))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises((zlib.error, gzip.BadGzipFile, ValueError)):
+            list(iter_jsonl_events(path))
+
+    def test_every_truncation_decodes_to_a_prefix(self, tmp_path):
+        # Link-table lines precede the first row that uses their ids, so
+        # cutting the file anywhere never orphans a reference.
+        path = tmp_path / "e.jsonl"
+        events = [
+            FlowStarted(t=float(i), flow_id=i, tag="t", size=1.0,
+                        links=(f"l{i % 3}", f"l{i % 5}"), src="a", dst="b")
+            for i in range(8)
+        ]
+        with JsonlEventSink(path) as sink:
+            for event in events:
+                sink.handle(0, event)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.jsonl"
+        for size in range(len(data) + 1):
+            cut.write_bytes(data[:size])
+            replayed = [event for _run, event in iter_jsonl_events(cut)]
+            assert replayed == events[: len(replayed)]
+        assert replayed == events
+
     def test_unclosed_chrome_spool_is_loadable(self, tmp_path):
         # The Array Format contract: viewers accept a missing `]`, so
         # appending one must yield valid JSON even without close().
@@ -226,6 +375,25 @@ class TestChromeStreaming:
         assert "M" in phases  # process_name metadata finalized
         pids = {r["pid"] for r in doc if r["ph"] != "M"}
         assert all(pid.startswith("run0:") for pid in pids)
+
+    def test_stream_bytes_match_json_dumps(self, tmp_path):
+        path = tmp_path / "trace.json"
+        session = TelemetrySession(
+            sinks=[ChromeStreamingSink(path)], keep_events=True
+        )
+        with capture(session=session):
+            run_workflow()
+        session.close()
+        records = [
+            record
+            for run, event in session.events
+            for record in convert_event(event, f"run{run}:")
+        ]
+        records += process_metadata({r["pid"] for r in records})
+        expected = "[\n" + ",\n".join(
+            json.dumps(record, separators=(",", ":")) for record in records
+        ) + "\n]\n"
+        assert path.read_text() == expected
 
     def test_single_run_mode_matches_batch_exporter_pids(self, tmp_path):
         path = tmp_path / "trace.json"
